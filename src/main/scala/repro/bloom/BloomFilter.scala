@@ -8,9 +8,11 @@ import repro.util.{BitVector, Hashing}
   * Mirrors the paper's setup: an m-bit array with η hash functions, and — the
   * property both methods rely on — *every* filter in an index shares the same
   * hash functions ([[repro.util.Hashing.bloomPositions]]), so a query key is
-  * hashed once and its η positions probe any column. The fairness argument in
-  * the paper ("inherit the Bloom Filter class from BIGSI") is reproduced here
-  * by BIGSI and RAMBO sharing this exact class.
+  * hashed once and its η positions probe any column. An index stores its
+  * filters as the columns of one [[repro.core.BitMatrix]] shared by BIGSI and
+  * RAMBO (the paper's fairness argument, "inherit the Bloom Filter class from
+  * BIGSI"); this class is a single column on its own, the reference those
+  * columns are checked against.
   *
   * @param m    number of bits
   * @param eta  number of hash functions (paper: η ∈ {3, 4})
@@ -50,15 +52,6 @@ final class BloomFilter(val m: Int, val eta: Int, val bits: BitVector) extends S
     true
   }
 
-  /** In-place union with a filter of identical geometry — the "merge" of
-    * RAMBO's merged filters and of map-side partial aggregation.
-    */
-  def merge(other: BloomFilter): Unit = {
-    require(other.m == m && other.eta == eta,
-      s"geometry mismatch: ($m,$eta) vs (${other.m},${other.eta})")
-    bits.or(other.bits)
-  }
-
   /** Fraction of set bits. */
   def fillRatio: Double = bits.fillRatio
 
@@ -78,8 +71,4 @@ object BloomFilter {
     keys.foreach(bf.insert)
     bf
   }
-
-  /** Wrap existing words as a filter (no copy). */
-  def wrap(m: Int, eta: Int, words: Array[Long]): BloomFilter =
-    new BloomFilter(m, eta, BitVector.wrap(m, words))
 }

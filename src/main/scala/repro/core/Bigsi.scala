@@ -3,76 +3,27 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 
-import repro.bloom.BloomFilter
-import repro.util.{BitVector, Hashing}
-
 /** BIGSI baseline (Bradley et al., Nature Biotech 2019) — one Bloom filter
-  * column per dataset, all sharing the same η hash functions.
+  * column per dataset, all sharing the same η hash functions: the
+  * [[SignatureIndex]] with d = 1, w = N and cell f = file f.
   *
-  * Two query paths over the same logical bits:
-  *  - [[BigsiIndex.queryProbe]]: probe each of the N column filters at the
-  *    query's η positions — O(N·η) memory accesses. This is the cost model
-  *    the paper measures (its implementation probes BIGSI's Bloom filter
-  *    class per column), and the path the benches time.
-  *  - [[BigsiIndex.queryBitsliced]]: AND the η selected bitslice rows of the
-  *    m×N matrix — BIGSI's publicised bit-trick; still O(N) work per query
-  *    (each row is N bits wide). Kept for cross-validation and reference
-  *    timings.
-  *
-  * @param numFiles N datasets (columns)
-  * @param m        bits per column filter
-  * @param eta      hash functions per filter
-  * @param columns  column filters, indexed by file id
+  * Two query paths over the same bits:
+  *  - probe: test each of the N columns at the query's η positions — O(N·η)
+  *    memory accesses. This is the cost model the paper measures (its
+  *    implementation probes BIGSI's Bloom filter class per column), and the
+  *    path the benches time.
+  *  - bitsliced: AND the η selected bitslice rows of the m×N matrix —
+  *    BIGSI's publicised bit-trick; still O(N) work per query (each row is
+  *    N bits wide). Kept for cross-validation and reference timings.
   */
-final class BigsiIndex(
-    val numFiles: Int,
-    val m: Int,
-    val eta: Int,
-    val columns: Array[BloomFilter]) extends Serializable {
-  require(columns.length == numFiles, s"${columns.length} columns for $numFiles files")
-
-  /** Bitslice matrix (built once from the columns; same logical bits). */
-  @transient lazy val matrix: BitMatrix =
-    BitMatrix.fromColumns(m, columns.map(_.bits))
-
-  /** Hash a query k-mer once (shared hash functions across all columns). */
-  def positions(kmer: String): Array[Int] = Hashing.bloomPositions(kmer, m, eta)
-
-  /** Probe-path query: N-bit vector of files whose filters pass. */
-  def queryProbe(kmer: String): BitVector = queryProbePositions(positions(kmer))
-
-  /** Probe-path query on pre-hashed positions. */
-  def queryProbePositions(pos: Array[Int]): BitVector = {
-    val hits = BitVector.empty(numFiles)
-    var f = 0
-    while (f < numFiles) {
-      if (columns(f).containsPositions(pos)) hits.set(f)
-      f += 1
-    }
-    hits
-  }
-
-  /** Bitsliced query: AND of the η selected rows. */
-  def queryBitsliced(kmer: String): BitVector = matrix.rowAnd(positions(kmer))
-
-  /** Index size: the m×N bit matrix (the number the paper's memory plots report). */
-  def indexBytes: Long = m.toLong * numFiles / 8
-}
-
-/** Builders for [[BigsiIndex]]. */
 object Bigsi {
 
   /** Distributed build from a (file_id: Int, kmer: String) DataFrame. */
-  def buildSpark(corpus: DataFrame, numFiles: Int, m: Int, eta: Int): BigsiIndex = {
-    val cols = SketchBuilder.buildColumns(
-      corpus.select(col("file_id") as "col", col("kmer")), numFiles, m, eta)
-    fromColumns(numFiles, m, eta, cols)
-  }
+  def buildSpark(corpus: DataFrame, numFiles: Int, m: Int, eta: Int): BigsiIndex =
+    SignatureIndex.buildSpark(corpus.select(col("file_id") as "col", col("kmer")),
+      numFiles, numFiles, 1, m, eta, Array.range(0, numFiles))
 
   /** Single-threaded reference build. */
   def buildLocal(corpus: Iterable[(Int, String)], numFiles: Int, m: Int, eta: Int): BigsiIndex =
-    fromColumns(numFiles, m, eta, SketchBuilder.buildColumnsLocal(corpus, numFiles, m, eta))
-
-  private def fromColumns(numFiles: Int, m: Int, eta: Int, cols: Array[BitVector]): BigsiIndex =
-    new BigsiIndex(numFiles, m, eta, cols.map(bv => new BloomFilter(m, eta, bv)))
+    SignatureIndex.buildLocal(corpus, numFiles, numFiles, 1, m, eta, Array.range(0, numFiles))
 }

@@ -8,7 +8,8 @@ import repro.util.BitVector
   * dataset c's Bloom filter, and querying ANDs the η rows selected by the
   * query's hash values into a `numCols`-bit hit vector. RAMBO reuses the same
   * layout with one column per (repetition, group) cell, so both methods share
-  * the identical bitslice machinery (the paper's fairness requirement).
+  * the identical bitslice machinery (the paper's fairness requirement): the
+  * one copy of an index's bits ([[SignatureIndex]]).
   *
   * @param numRows matrix height = Bloom filter size m
   * @param numCols matrix width = number of columns (files or cells)
@@ -60,7 +61,45 @@ final class BitMatrix(val numRows: Int, val numCols: Int) extends Serializable {
     BitVector.wrap(numCols, acc)
   }
 
-  /** Storage footprint in bytes. */
+  /** Whether column `col` has every one of `rowIds` set: one column's Bloom
+    * membership test read straight from the bitslices, the per-column probe
+    * of the paper's cost model.
+    */
+  def columnHasAll(rowIds: Array[Int], col: Int): Boolean = {
+    checkCol(col)
+    val word = col >>> 6
+    val bit = 1L << (col & 63)
+    var i = 0
+    while (i < rowIds.length) {
+      checkRow(rowIds(i))
+      if ((rows(rowIds(i) * wordsPerRow + word) & bit) == 0L) return false
+      i += 1
+    }
+    true
+  }
+
+  /** The columns as `numRows`-bit vectors, the inverse of
+    * [[BitMatrix.fromColumns]]. Cost is proportional to the number of set bits.
+    */
+  def toColumns: Array[BitVector] = {
+    val cols = Array.fill(numCols)(BitVector.empty(numRows))
+    var r = 0
+    while (r < numRows) {
+      var w = 0
+      while (w < wordsPerRow) {
+        var word = rows(r * wordsPerRow + w)
+        while (word != 0L) {
+          cols(w * 64 + java.lang.Long.numberOfTrailingZeros(word)).set(r)
+          word &= word - 1
+        }
+        w += 1
+      }
+      r += 1
+    }
+    cols
+  }
+
+  /** Storage footprint in bytes: every row padded to whole words. */
   def sizeBytes: Long = rows.length.toLong * 8
 }
 
@@ -75,9 +114,18 @@ object BitMatrix {
     val m = new BitMatrix(numRows, columns.length)
     var c = 0
     while (c < columns.length) {
-      val bits = columns(c).setBits
+      val words = columns(c).words
+      val bit = 1L << (c & 63)
       var i = 0
-      while (i < bits.length) { m.set(bits(i), c); i += 1 }
+      while (i < words.length) {
+        var word = words(i)
+        while (word != 0L) {
+          val r = i * 64 + java.lang.Long.numberOfTrailingZeros(word)
+          m.rows(r * m.wordsPerRow + (c >>> 6)) |= bit
+          word &= word - 1
+        }
+        i += 1
+      }
       c += 1
     }
     m

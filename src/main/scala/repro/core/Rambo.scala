@@ -3,11 +3,10 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-import repro.bloom.BloomFilter
-import repro.util.{BitVector, Hashing}
+import repro.util.Hashing
 
 /** RAMBO — the paper's contribution: a count-min-sketch arrangement of merged
-  * Bloom filters (Repeated And Merged BloOm filter).
+  * Bloom filters (Repeated And Merged BloOm filter), as a [[SignatureIndex]].
   *
   * Geometry: `d` independent repetitions × `w` groups per repetition. In
   * repetition `r`, the universal hash `ph_r(file) = `
@@ -23,102 +22,10 @@ import repro.util.{BitVector, Hashing}
   * is falsely reported only if all of its `d` cells yield Bloom false
   * positives, so the whole-index FP is ≈ fp_cell^d.
   *
-  * @param numFiles N datasets
-  * @param w        groups per repetition (paper: 100 for N=3480, 84 for N=2500)
-  * @param d        repetitions (paper: 3)
-  * @param m        bits per cell filter
-  * @param eta      hash functions per filter
-  * @param columns  cell filters, indexed by `rep·w + group`
+  * Parameters: `w` groups per repetition (paper: 100 for N=3480, 84 for
+  * N=2500), `d` repetitions (paper: 3), `m` bits per cell filter, `eta` hash
+  * functions per filter.
   */
-final class RamboIndex(
-    val numFiles: Int,
-    val w: Int,
-    val d: Int,
-    val m: Int,
-    val eta: Int,
-    val columns: Array[BloomFilter]) extends Serializable {
-  require(w > 0 && d > 0, s"bad geometry w=$w d=$d")
-  require(columns.length == w * d, s"${columns.length} columns for ${w * d} cells")
-
-  /** Member set of each cell as an N-bit vector, derived from the partition
-    * hashes (cell col `r·w+g` holds files with `ph_r(f) = g`).
-    */
-  val memberships: Array[BitVector] = RamboIndex.memberships(numFiles, w, d)
-
-  /** Bitslice matrix over the d·w cell columns (same logical bits). */
-  @transient lazy val matrix: BitMatrix =
-    BitMatrix.fromColumns(m, columns.map(_.bits))
-
-  /** Hash a query k-mer once (shared hash functions across all cells). */
-  def positions(kmer: String): Array[Int] = Hashing.bloomPositions(kmer, m, eta)
-
-  /** Probe-path query: O(d·w·η) probes, then union-per-repetition and
-    * intersection-across-repetitions over N-bit member sets.
-    */
-  def queryProbe(kmer: String): BitVector = queryProbePositions(positions(kmer))
-
-  /** Probe-path query on pre-hashed positions. */
-  def queryProbePositions(pos: Array[Int]): BitVector = {
-    var result: BitVector = null
-    var r = 0
-    while (r < d) {
-      val repUnion = BitVector.empty(numFiles)
-      var g = 0
-      while (g < w) {
-        val c = r * w + g
-        if (columns(c).containsPositions(pos)) repUnion.or(memberships(c))
-        g += 1
-      }
-      if (result == null) result = repUnion else result.and(repUnion)
-      r += 1
-    }
-    result
-  }
-
-  /** Bitsliced query: AND η rows of the m×(d·w) matrix, then resolve the hit
-    * cells through the same union/intersection.
-    */
-  def queryBitsliced(kmer: String): BitVector = {
-    val hitCells = matrix.rowAnd(positions(kmer))
-    var result: BitVector = null
-    var r = 0
-    while (r < d) {
-      val repUnion = BitVector.empty(numFiles)
-      var g = 0
-      while (g < w) {
-        val c = r * w + g
-        if (hitCells.get(c)) repUnion.or(memberships(c))
-        g += 1
-      }
-      if (result == null) result = repUnion else result.and(repUnion)
-      r += 1
-    }
-    result
-  }
-
-  /** Index size: the m×(d·w) bit matrix plus the d·w member sets of N bits. */
-  def indexBytes: Long =
-    m.toLong * (w * d) / 8 + memberships.length.toLong * BitVector.wordsFor(numFiles) * 8
-}
-
-object RamboIndex {
-  /** Cell → file-membership bitsets implied by the partition hashes. */
-  def memberships(numFiles: Int, w: Int, d: Int): Array[BitVector] = {
-    val out = Array.fill(w * d)(BitVector.empty(numFiles))
-    var f = 0
-    while (f < numFiles) {
-      var r = 0
-      while (r < d) {
-        out(r * w + Hashing.partitionHash(f.toLong, r, w)).set(f)
-        r += 1
-      }
-      f += 1
-    }
-    out
-  }
-}
-
-/** Builders for [[RamboIndex]]. */
 object Rambo {
 
   /** The d cell columns a file's k-mers are inserted into. */
@@ -129,30 +36,25 @@ object Rambo {
     out
   }
 
+  /** Every file's cells, file after file: the index's cell map. */
+  def cellMap(numFiles: Int, w: Int, d: Int): Array[Int] =
+    Array.range(0, numFiles).flatMap(cellsForFile(_, w, d))
+
   /** Distributed build from a (file_id: Int, kmer: String) DataFrame: each row
-    * fans out to its d cells and the shared [[SketchBuilder]] aggregation
-    * folds cells' k-mers into their merged filters.
+    * fans out to its d cells, whose filters the shared build folds it into.
     */
   def buildSpark(corpus: DataFrame, numFiles: Int, w: Int, d: Int,
                  m: Int, eta: Int): RamboIndex = {
     val cellsUdf = udf((fileId: Int) => cellsForFile(fileId, w, d))
-    val colKmer = corpus
-      .select(explode(cellsUdf(col("file_id"))) as "col", col("kmer"))
-    val cols = SketchBuilder.buildColumns(colKmer, w * d, m, eta)
-    fromColumns(numFiles, w, d, m, eta, cols)
+    SignatureIndex.buildSpark(
+      corpus.select(explode(cellsUdf(col("file_id"))) as "col", col("kmer")),
+      numFiles, w, d, m, eta, cellMap(numFiles, w, d))
   }
 
   /** Single-threaded reference build. */
   def buildLocal(corpus: Iterable[(Int, String)], numFiles: Int, w: Int, d: Int,
-                 m: Int, eta: Int): RamboIndex = {
-    val colKmer = corpus.flatMap { case (f, kmer) =>
-      cellsForFile(f, w, d).map(c => (c, kmer))
-    }
-    fromColumns(numFiles, w, d, m, eta,
-      SketchBuilder.buildColumnsLocal(colKmer, w * d, m, eta))
-  }
-
-  private def fromColumns(numFiles: Int, w: Int, d: Int, m: Int, eta: Int,
-                          cols: Array[BitVector]): RamboIndex =
-    new RamboIndex(numFiles, w, d, m, eta, cols.map(bv => new BloomFilter(m, eta, bv)))
+                 m: Int, eta: Int): RamboIndex =
+    SignatureIndex.buildLocal(
+      corpus.flatMap { case (f, kmer) => cellsForFile(f, w, d).map(c => (c, kmer)) },
+      numFiles, w, d, m, eta, cellMap(numFiles, w, d))
 }

@@ -3,7 +3,7 @@ package repro.eval
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.core.{Bigsi, BigsiIndex, Rambo, RamboIndex}
+import repro.core.{Bigsi, Rambo}
 import repro.genome.SynthGenomes
 import repro.genome.SynthGenomes.CorpusSpec
 

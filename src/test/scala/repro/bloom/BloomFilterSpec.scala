@@ -72,29 +72,6 @@ class BloomFilterSpec extends AnyFunSuite {
     assert(math.abs(bf.estimatedFpFromFill - 0.25) < 1e-12)
   }
 
-  test("merge unions two filters (the RAMBO merge)") {
-    val a = BloomFilter.of(2048, 3, Seq("AAA", "CCC"))
-    val b = BloomFilter.of(2048, 3, Seq("GGG"))
-    a.merge(b)
-    Seq("AAA", "CCC", "GGG").foreach(k => assert(a.contains(k)))
-  }
-
-  test("merged filter equals filter built from the union") {
-    val keysA = (0 until 50).map(i => s"a$i")
-    val keysB = (0 until 50).map(i => s"b$i")
-    val merged = BloomFilter.of(4096, 3, keysA)
-    merged.merge(BloomFilter.of(4096, 3, keysB))
-    val direct = BloomFilter.of(4096, 3, keysA ++ keysB)
-    assert(merged.bits == direct.bits)
-  }
-
-  test("merge rejects geometry mismatch") {
-    intercept[IllegalArgumentException](
-      new BloomFilter(64, 3).merge(new BloomFilter(128, 3)))
-    intercept[IllegalArgumentException](
-      new BloomFilter(64, 3).merge(new BloomFilter(64, 4)))
-  }
-
   test("constructor rejects bad geometry") {
     intercept[IllegalArgumentException](new BloomFilter(0, 3))
     intercept[IllegalArgumentException](new BloomFilter(64, 0))
@@ -111,13 +88,6 @@ class BloomFilterSpec extends AnyFunSuite {
     b.insert("Y")
     assert(!a.contains("Y") || a.bits != b.bits) // Y's bits may collide; bits must differ unless equal
     assert(b.contains("X") && b.contains("Y"))
-  }
-
-  test("wrap shares words with the caller") {
-    val words = new Array[Long](1)
-    val bf = BloomFilter.wrap(64, 3, words)
-    bf.insert("Z")
-    assert(words(0) != 0L)
   }
 
   test("filters with same keys are bit-identical (determinism)") {

@@ -17,8 +17,10 @@ class BigsiSpec extends SparkSpec {
 
   test("index geometry") {
     assert(index.numFiles == 60)
-    assert(index.columns.length == 60)
-    index.columns.foreach(c => assert(c.m == 16384 && c.eta == 3))
+    assert(index.matrix.numCols == 60)
+    assert(index.w == 60 && index.d == 1)
+    assert(index.m == 16384 && index.eta == 3)
+    assert(index.fileCells.toSeq == (0 until 60))
   }
 
   test("zero false negatives: every (file, kmer) pair is found") {
@@ -68,9 +70,10 @@ class BigsiSpec extends SparkSpec {
 
   test("Spark build is bit-identical to local build") {
     val df = corpus.toDF("file_id", "kmer")
-    val viaSpark = Bigsi.buildSpark(df, spec.nFiles, 16384, 3)
+    val viaSpark = Bigsi.buildSpark(df, spec.nFiles, 16384, 3).columns
+    val viaLocal = index.columns
     (0 until spec.nFiles).foreach { f =>
-      assert(viaSpark.columns(f).bits == index.columns(f).bits, s"file $f")
+      assert(viaSpark(f).bits == viaLocal(f).bits, s"file $f")
     }
   }
 
@@ -88,8 +91,9 @@ class BigsiSpec extends SparkSpec {
       Hashing.bloomPositions(kmer, 16384, 3).toSeq)
   }
 
-  test("indexBytes is m*N/8") {
-    assert(index.indexBytes == 16384L * 60 / 8)
+  test("indexBytes is the padded m x N matrix plus the cell map") {
+    // 60 columns pad each row to one word; the identity map builds no member sets.
+    assert(index.indexBytes == 16384L * 8 + 60L * 4)
   }
 
   test("a file with no kmers matches nothing it shouldn't") {
@@ -102,6 +106,6 @@ class BigsiSpec extends SparkSpec {
 
   test("column count mismatch is rejected") {
     intercept[IllegalArgumentException](
-      new BigsiIndex(5, 64, 2, Array.fill(4)(new repro.bloom.BloomFilter(64, 2))))
+      new SignatureIndex(5, 5, 1, 2, new BitMatrix(64, 4), Array.range(0, 5)))
   }
 }

@@ -85,6 +85,25 @@ class BitMatrixSpec extends AnyFunSuite {
     }
   }
 
+  test("columnHasAll tests one column against every given row") {
+    val m = new BitMatrix(8, 70)
+    Seq(1, 4, 6).foreach(r => m.set(r, 65))
+    m.set(1, 3)
+    assert(m.columnHasAll(Array(1, 4, 6), 65))
+    assert(!m.columnHasAll(Array(1, 4, 5), 65))
+    assert(!m.columnHasAll(Array(1, 4), 3))
+    assert(m.columnHasAll(Array(1), 3))
+    intercept[IndexOutOfBoundsException](m.columnHasAll(Array(1), 70))
+    intercept[IndexOutOfBoundsException](m.columnHasAll(Array(8), 3))
+  }
+
+  test("toColumns inverts fromColumns") {
+    val r = new Random(3)
+    val cols = Array.fill(130)(BitVector.empty(77))
+    cols.foreach(c => (0 until 9).foreach(_ => c.set(r.nextInt(77))))
+    assert(BitMatrix.fromColumns(77, cols).toColumns.toSeq == cols.toSeq)
+  }
+
   test("sizeBytes matches the flat layout") {
     assert(new BitMatrix(10, 64).sizeBytes == 10 * 8)
     assert(new BitMatrix(10, 65).sizeBytes == 10 * 2 * 8)

@@ -68,7 +68,7 @@ class EndToEndSpec extends SparkSpec {
         SynthGenomes.negativeKmers(
           SynthGenomes.CorpusSpec(nFiles, 10, 10L, k = k, seed = 91L), 5))
       .zipWithIndex.map { case (km, i) => (i.toLong, km) }.toDF("qid", "kmer")
-    val got = QueryEngine.queryRambo(spark, queries, index)
+    val got = QueryEngine.query(spark, queries, index)
     Oracle.assertEquivalent(
       got,
       "SELECT DISTINCT q.qid AS qid, c.file_id AS file_id " +

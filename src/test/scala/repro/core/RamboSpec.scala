@@ -16,10 +16,20 @@ class RamboSpec extends SparkSpec {
   private lazy val truth = GroundTruth.fromLocal(corpus, spec.nFiles)
   private lazy val index = Rambo.buildLocal(corpus, spec.nFiles, W, D, m = 65536, eta = 3)
 
+  /** File f's cell in repetition r, read from the index's cell map. */
+  private def cellOf(idx: RamboIndex, f: Int, r: Int): Int = idx.fileCells(f * idx.d + r)
+
+  /** The files whose cell in repetition r is `cell`. */
+  private def members(idx: RamboIndex, cell: Int): BitVector = {
+    val r = cell / idx.w
+    BitVector.of(idx.numFiles, (0 until idx.numFiles).filter(f => cellOf(idx, f, r) == cell))
+  }
+
   test("index geometry: D*W columns, not N") {
-    assert(index.columns.length == W * D)
-    assert(index.columns.length < spec.nFiles)
-    index.columns.foreach(c => assert(c.m == 65536 && c.eta == 3))
+    assert(index.matrix.numCols == W * D)
+    assert(index.matrix.numCols < spec.nFiles)
+    assert(index.m == 65536 && index.eta == 3)
+    assert(index.fileCells.length == spec.nFiles * D)
   }
 
   test("cellsForFile: one cell per repetition, in that repetition's range") {
@@ -40,24 +50,17 @@ class RamboSpec extends SparkSpec {
   }
 
   test("memberships partition the files within each repetition") {
-    val ms = index.memberships
     (0 until D).foreach { r =>
-      val union = BitVector.empty(spec.nFiles)
-      var total = 0
-      (0 until W).foreach { g =>
-        total += ms(r * W + g).cardinality
-        union.or(ms(r * W + g))
-      }
-      assert(total == spec.nFiles, s"rep $r covers $total files") // disjoint
-      assert(union.cardinality == spec.nFiles)                    // exhaustive
+      val byCell = (0 until spec.nFiles).groupBy(f => cellOf(index, f, r))
+      byCell.keys.foreach(c => assert(c >= r * W && c < (r + 1) * W, s"rep $r cell $c"))
+      assert(byCell.values.map(_.size).sum == spec.nFiles, s"rep $r") // each file once
     }
   }
 
   test("membership bitsets agree with the partition hash") {
     (0 until spec.nFiles).foreach { f =>
       (0 until D).foreach { r =>
-        val g = Hashing.partitionHash(f.toLong, r, W)
-        assert(index.memberships(r * W + g).get(f))
+        assert(cellOf(index, f, r) == r * W + Hashing.partitionHash(f.toLong, r, W))
       }
     }
   }
@@ -83,11 +86,12 @@ class RamboSpec extends SparkSpec {
   test("result is the intersection of per-repetition unions (Algorithm 2)") {
     val kmer = SynthGenomes.poolKmer(spec, 3)
     val pos = index.positions(kmer)
+    val columns = index.columns
     val expected = (0 until D).map { r =>
       val u = BitVector.empty(spec.nFiles)
       (0 until W).foreach { g =>
-        if (index.columns(r * W + g).containsPositions(pos))
-          u.or(index.memberships(r * W + g))
+        if (columns(r * W + g).containsPositions(pos))
+          u.or(members(index, r * W + g))
       }
       u
     }.reduce { (a, b) => a.and(b); a }
@@ -103,7 +107,7 @@ class RamboSpec extends SparkSpec {
       val expected = (0 until D).map { r =>
         val u = BitVector.empty(spec.nFiles)
         files.setBits.foreach { f =>
-          u.or(exact.memberships(r * W + Hashing.partitionHash(f.toLong, r, W)))
+          u.or(members(exact, r * W + Hashing.partitionHash(f.toLong, r, W)))
         }
         u
       }.reduce { (a, b) => a.and(b); a }
@@ -123,10 +127,11 @@ class RamboSpec extends SparkSpec {
     val small = Rambo.buildLocal(corpus, spec.nFiles, W, D, m = 8192, eta = 3)
     val negs = SynthGenomes.negativeKmers(spec, 400)
     // cell-level FP: how often a single cell filter fires on a negative
+    val columns = small.columns
     var cellHits = 0L
     negs.foreach { k =>
       val pos = small.positions(k)
-      cellHits += small.columns.count(_.containsPositions(pos))
+      cellHits += columns.count(_.containsPositions(pos))
     }
     val cellFp = cellHits.toDouble / (negs.size.toLong * W * D)
     var fileHits = 0L
@@ -137,9 +142,10 @@ class RamboSpec extends SparkSpec {
 
   test("Spark build is bit-identical to local build") {
     val df = corpus.toDF("file_id", "kmer")
-    val viaSpark = Rambo.buildSpark(df, spec.nFiles, W, D, 65536, 3)
+    val viaSpark = Rambo.buildSpark(df, spec.nFiles, W, D, 65536, 3).columns
+    val viaLocal = index.columns
     (0 until W * D).foreach { c =>
-      assert(viaSpark.columns(c).bits == index.columns(c).bits, s"cell $c")
+      assert(viaSpark(c).bits == viaLocal(c).bits, s"cell $c")
     }
   }
 
@@ -155,9 +161,9 @@ class RamboSpec extends SparkSpec {
     import repro.bloom.BloomFilter
     val byFile = corpus.groupBy(_._1)
     val cell = 1 * W + 3 // repetition 1, group 3
-    val members = index.memberships(cell).setBits
     val direct = new BloomFilter(65536, 3)
-    members.foreach(f => byFile.getOrElse(f, Seq.empty).foreach { case (_, k) => direct.insert(k) })
+    members(index, cell).setBits.foreach(f =>
+      byFile.getOrElse(f, Seq.empty).foreach { case (_, k) => direct.insert(k) })
     assert(index.columns(cell).bits == direct.bits)
   }
 
@@ -166,23 +172,33 @@ class RamboSpec extends SparkSpec {
     val without = corpus.filterNot(_._1 == newFile)
     val idxWithout = Rambo.buildLocal(without, spec.nFiles, W, D, 65536, 3)
     val touched = Rambo.cellsForFile(newFile, W, D).toSet
+    val before = idxWithout.columns
+    val after = index.columns
     (0 until W * D).foreach { c =>
       if (!touched.contains(c))
-        assert(idxWithout.columns(c).bits == index.columns(c).bits, s"cell $c changed")
+        assert(before(c).bits == after(c).bits, s"cell $c changed")
     }
   }
 
   test("indexBytes accounts for filters and memberships") {
-    val filters = 65536L * W * D / 8
+    // W*D = 24 cells fit one word per matrix row.
+    val filters = 65536L * 8
+    val cellMap = spec.nFiles.toLong * D * 4
     val members = (W * D).toLong * BitVector.wordsFor(spec.nFiles) * 8
-    assert(index.indexBytes == filters + members)
+    assert(index.indexBytes == filters + cellMap + members)
   }
 
   test("bad geometry rejected") {
+    val cells = Rambo.cellMap(10, 2, 3)
     intercept[IllegalArgumentException](
-      new RamboIndex(10, 0, 3, 64, 2, Array.empty))
+      new SignatureIndex(10, 0, 3, 2, new BitMatrix(64, 6), cells))       // w = 0
     intercept[IllegalArgumentException](
-      new RamboIndex(10, 2, 3, 64, 2, Array.fill(5)(new repro.bloom.BloomFilter(64, 2))))
+      new SignatureIndex(10, 2, 3, 2, new BitMatrix(64, 5), cells))       // 5 columns for 6 cells
+    intercept[IllegalArgumentException](
+      new SignatureIndex(10, 2, 3, 2, new BitMatrix(64, 6), cells.take(29))) // a file short a cell
+    val wrongRep = cells.clone(); wrongRep(1) = 0                           // rep 1 cell in rep 0
+    intercept[IllegalArgumentException](
+      new SignatureIndex(10, 2, 3, 2, new BitMatrix(64, 6), wrongRep))
   }
 
   test("W*D can exceed N and still work (degenerate geometry)") {

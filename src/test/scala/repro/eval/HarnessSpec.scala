@@ -36,7 +36,8 @@ class HarnessSpec extends SparkSpec {
     assert(p.method == "BIGSI" && p.eta == 3 && p.mBits == 8192)
     assert(p.fpPct >= 0.0 && p.fpPct <= 100.0)
     assert(p.usProbe > 0 && p.usBitsliced > 0 && p.buildSec > 0)
-    assert(math.abs(p.indexMB - 8192.0 * 50 / 8 / 1024 / 1024) < 1e-9)
+    // Resident bytes: 8192 rows of one 64-bit word (50 columns) plus the 50-entry cell map.
+    assert(math.abs(p.indexMB - (8192.0 * 8 + 50 * 4) / 1024 / 1024) < 1e-9)
   }
 
   test("runRambo produces a sane sweep point") {
